@@ -1,0 +1,9 @@
+"""Let the benchmark's own tests import the program from ``src/``
+(``python -m pytest perfbench`` from the repository root)."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
