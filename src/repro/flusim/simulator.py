@@ -54,7 +54,6 @@ import heapq
 
 import numpy as np
 
-from ..accel import kernels_active
 from ..taskgraph.dag import TaskDAG
 from .cluster import ClusterConfig
 from .commmodel import CommModel
@@ -82,7 +81,6 @@ def simulate(
     comm: CommModel | None = None,
     seed: int = 0,
     engine: str = "auto",
-    compiled: bool | None = None,
 ) -> Trace:
     """Simulate one iteration of the solver on a virtual cluster.
 
@@ -112,10 +110,6 @@ def simulate(
         out-degree, ``"scalar"`` / ``"batched"`` force one (see the
         module docstring).  All engines produce identical traces; the
         knob exists for benchmarks and differential tests.
-    compiled:
-        Kernel-tier override for the batched engine's no-comm
-        successor release (see :mod:`repro.accel`); ``None`` consults
-        ``REPRO_COMPILED``.  Traces are bit-identical either way.
 
     Returns
     -------
@@ -185,7 +179,7 @@ def simulate(
     if engine == "batched":
         out_worker, out_start, out_end = _run_batched(
             T, nproc, cluster.cores, tproc, durations, indeg, sx, sa,
-            ready, delays, use_kernels=kernels_active(compiled),
+            ready, delays,
         )
     else:
         out_worker, out_start, out_end = _run_scalar(
@@ -329,31 +323,15 @@ def _run_batched(
     sa: np.ndarray,
     ready: list,
     delays: np.ndarray | None,
-    use_kernels: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wide-DAG core: each completion releases its successor slice with
-    NumPy kernels (vectorized in-degree decrement + ``flatnonzero``).
-
-    With ``use_kernels`` (and no comm model) the release runs in the
-    sequential nopython kernel :func:`repro.accel.kernels.flusim_release`
-    instead; each edge decrements exactly once overall, so in-degrees
-    hit zero on their final decrement and the kernel's release order
-    equals the vectorized dedup-keep-last order.
-    """
+    NumPy kernels (vectorized in-degree decrement + ``flatnonzero``)."""
     heappush = heapq.heappush
     heappop = heapq.heappop
     indeg = indeg.copy()
     tproc_l = tproc.tolist()
     dur_l = durations.tolist()
     has_comm = delays is not None
-    use_kernels = use_kernels and not has_comm
-    if use_kernels:
-        from ..accel.kernels import flusim_release
-
-        sa = sa.astype(np.int64, copy=False)
-        relbuf = np.empty(
-            int((sx[1:] - sx[:-1]).max()) if T else 1, dtype=np.int64
-        )
     delays_l = delays.tolist() if has_comm else None
     ready_at = np.zeros(T, dtype=np.float64) if has_comm else None
     tproc64 = tproc.astype(np.int64)
@@ -413,13 +391,6 @@ def _run_batched(
                 heappush(free_workers[p], out_worker[t])
             free_count[p] += 1
             touched.add(p)
-            if use_kernels:
-                cnt = flusim_release(indeg, sa[sx[t] : sx[t + 1]], relbuf)
-                for u in relbuf[:cnt].tolist():
-                    pu = tproc_l[u]
-                    ready[pu].push(u, now)
-                    touched.add(pu)
-                continue
             succ = sa[sx[t] : sx[t + 1]]
             if len(succ) == 0:
                 continue

@@ -194,7 +194,7 @@ def _duplicate_coords(rng: np.random.Generator) -> MeshCase:
     centers = mesh.cell_centers.copy()
     dup = rng.choice(n, size=max(2, n // 2), replace=False)
     centers[dup] = centers[dup[0]]
-    mesh = replace(mesh, cell_centers=centers, _adjacency=None)
+    mesh = replace(mesh, cell_centers=centers)
     tau = rng.integers(0, 3, size=n).astype(np.int32)
     return MeshCase("duplicate-coords", mesh, tau, (2, 4))
 

@@ -22,15 +22,10 @@
   ``vwgt``/``adjwgt`` holding the exact same values) and the labels
   must be bit-identical to the wide int64/float64 path — the
   equivalence gate behind the scale tier's index/weight narrowing;
-* **kernel-tier differentials** — the compiled-tier kernels
-  (:mod:`repro.accel`: FM unit pass, HEM greedy tail, FLUSIM release,
-  contraction merge, FM degree recomputation) are forced on via
-  ``compiled=True`` (interpreted when Numba is absent — same code
-  path, minus the JIT) and must reproduce the reference paths bit for
-  bit;
 * **out-of-core differentials** — every mesh case's dual graph is
-  rebuilt with the streaming engine at an adversarial chunk size and
-  must equal the materialized oracle array for array, and every graph
+  streamed at an adversarial chunk size and must equal the
+  :meth:`~repro.mesh.structures.Mesh.cell_adjacency` reference array
+  for array (unit and area weights, int32-narrowed indices), and every graph
   case is re-partitioned under a forced ``REPRO_HIERARCHY_BUDGET=1``
   spill budget with bit-identical labels;
 * **DAG checks** — every mesh decomposition is expanded into Euler and
@@ -146,14 +141,6 @@ def _check_matching(
     again = heavy_edge_matching(g, np.random.default_rng(seed))
     if not np.array_equal(fast, again):
         fail("hem-determinism", "same seed produced different matchings")
-    forced = heavy_edge_matching(
-        g, np.random.default_rng(seed), compiled=True
-    )
-    if not np.array_equal(fast, forced):
-        fail(
-            "hem-compiled",
-            "compiled-tier greedy tail diverged from the NumPy path",
-        )
     wf, wr = _matched_weight(g, fast), _matched_weight(g, ref)
     if wr > 0 and wf < 0.8 * wr:
         fail(
@@ -199,23 +186,6 @@ def _check_fm(
     again, again_cut, _ = run(fm_refine)
     if not np.array_equal(fast, again) or again_cut != fast_cut:
         fail("fm-determinism", "same seed produced different refinements")
-    try:
-        forced = fm_refine(
-            g,
-            part0.copy(),
-            imbalance_tol=tol,
-            rng=np.random.default_rng(seed),
-            check_cut=True,
-            compiled=True,
-        )
-    except PartitionError as exc:
-        fail("fm-compiled-internal", f"check_cut tripped: {exc}")
-    else:
-        if not np.array_equal(fast, forced):
-            fail(
-                "fm-compiled",
-                "compiled-tier unit pass diverged from the NumPy path",
-            )
     # FM keeps the best prefix: it must never leave the partition worse
     # than it started on *both* axes.
     if fast_cut > cut0 + 1e-9 and fast_imb > imb0 + 1e-9:
@@ -232,48 +202,6 @@ def _check_fm(
         fail(
             "fm-vs-reference",
             f"fast cut {fast_cut:g} ≫ reference cut {ref_cut:g}",
-        )
-
-
-def _check_multilevel_kernels(
-    report: FuzzReport, seed: int, case: str, g: CSRGraph
-) -> None:
-    """Differential: the contraction-merge and degree-recomputation
-    kernels forced on must be bit-identical to the NumPy paths."""
-    if g.num_vertices < 2:
-        return
-    report.differential_checks += 1
-    from ..graph.coarsen import contract
-    from ..graph.refine import _degrees
-
-    def fail(check: str, detail: str) -> None:
-        report.failures.append(FuzzFailure(seed, case, check, detail))
-
-    match = heavy_edge_matching(g, np.random.default_rng(seed))
-    ref = contract(g, match, compiled=False)
-    forced = contract(g, match, compiled=True)
-    same = (
-        np.array_equal(ref.graph.xadj, forced.graph.xadj)
-        and np.array_equal(ref.graph.adjncy, forced.graph.adjncy)
-        and np.array_equal(ref.graph.adjwgt, forced.graph.adjwgt)
-        and np.array_equal(ref.graph.vwgt, forced.graph.vwgt)
-        and ref.graph.adjncy.dtype == forced.graph.adjncy.dtype
-    )
-    if not same:
-        fail(
-            "contract-compiled",
-            "compiled-tier contraction merge diverged from the NumPy "
-            "path",
-        )
-    part = (
-        np.random.default_rng(seed).random(g.num_vertices) < 0.5
-    ).astype(np.int32)
-    i0, e0 = _degrees(g, part, compiled=False)
-    i1, e1 = _degrees(g, part, compiled=True)
-    if not (np.array_equal(i0, i1) and np.array_equal(e0, e1)):
-        fail(
-            "degrees-compiled",
-            "compiled-tier degree recomputation diverged from bincount",
         )
 
 
@@ -454,7 +382,6 @@ def _fuzz_graph_case(report: FuzzReport, seed: int, case: GraphCase) -> None:
     if case.graph.num_vertices <= 400:
         _check_matching(report, seed, name, case.graph)
         _check_fm(report, seed, name, case.graph)
-        _check_multilevel_kernels(report, seed, name, case.graph)
         if case.nparts:
             _check_spill_path(
                 report,
@@ -519,51 +446,43 @@ def _check_downstream(
                 "; ".join(diffs[:3]),
             )
 
-    # Compiled tier: the batched engine with the release kernel forced
-    # on (interpreted when Numba is absent) must stay bit-identical.
-    report.differential_checks += 1
-    got = simulate(
-        dag, cluster, scheduler=scheduler, seed=seed,
-        engine="batched", compiled=True,
-    )
-    want = simulate_ref(dag, cluster, scheduler=scheduler, seed=seed)
-    diffs = trace_differences(got, want)
-    if diffs:
-        fail(f"flusim-{scheduler}-batched-compiled", "; ".join(diffs[:3]))
-
 
 def _check_streaming_dual(
     report: FuzzReport, seed: int, name: str, mesh
 ) -> None:
-    """Differential: the streaming dual builder vs the materialized
-    oracle, at an adversarial (non-power-of-two) chunk size."""
+    """Differential: the streaming dual builder vs
+    :meth:`~repro.mesh.structures.Mesh.cell_adjacency`, at an
+    adversarial (non-power-of-two) chunk size."""
     from ..mesh.dual import mesh_to_dual_graph
 
     def fail(check: str, detail: str) -> None:
         report.failures.append(FuzzFailure(seed, name, check, detail))
 
+    xadj, adjncy, face_of = mesh.cell_adjacency()
     chunk = 1 + seed % 7  # tiny odd windows stress the cursor carry
     for edge_weight in ("unit", "area"):
         report.differential_checks += 1
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight=edge_weight, engine="materialized"
-        )
+        if edge_weight == "area":
+            want_w = mesh.face_area[face_of]
+        else:
+            want_w = np.ones(len(adjncy))
         got = mesh_to_dual_graph(
             mesh,
             edge_weight=edge_weight,
-            engine="streaming",
+            index_dtype="auto",
             chunk_faces=chunk,
         )
         same = (
-            np.array_equal(ref.xadj, got.xadj)
-            and np.array_equal(ref.adjncy, got.adjncy)
-            and np.array_equal(ref.adjwgt, got.adjwgt)
+            np.array_equal(xadj, got.xadj)
+            and got.adjncy.dtype == np.int32
+            and np.array_equal(adjncy, got.adjncy)
+            and np.array_equal(want_w, got.adjwgt)
         )
         if not same:
             fail(
                 f"dual-streaming-{edge_weight}",
                 f"streaming dual (chunk_faces={chunk}) diverged from "
-                "the materialized oracle",
+                "Mesh.cell_adjacency()",
             )
 
 

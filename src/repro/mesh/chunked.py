@@ -1,35 +1,33 @@
-"""Array-based (chunked) quadtree/octree mesh engines.
+"""Array-based (chunked) quadtree/octree mesh builders.
 
-The object engines in :mod:`repro.mesh.quadtree` and
-:mod:`repro.mesh.octree` build the tree as a dict of Python tuples —
-clear, but at paper scale (1M+ cells) the tuples, the dict and the
-per-face Python lists dominate both time and memory.  This module
-re-implements refine / 2:1 balance / face extraction as chunked NumPy
-array passes that never materialize O(cells) Python objects:
+A tree kept as a dict of Python tuples is clear, but at paper scale
+(1M+ cells) the tuples, the dict and the per-face Python lists dominate
+both time and memory.  This module builds refine / 2:1 balance / face
+extraction as chunked NumPy array passes that never materialize
+O(cells) Python objects:
 
 * **refine** — breadth-first frontier of ``(depth, i, j[, k])``
   arrays, split decisions evaluated vectorized per chunk (the split
-  predicate depends only on the cell itself, so the leaf set matches
-  the object engine's stack traversal exactly);
+  predicate depends only on the cell itself, so the leaf set does not
+  depend on the traversal order);
 * **balance** — leaves live in one sorted array of packed int64 keys;
   each round marks too-coarse neighbours via vectorized ancestor
   lookups (``searchsorted`` membership) and splits them all at once.
-  2:1 closure is confluent, so the fixpoint equals the object
-  engine's work-list result;
+  2:1 closure is confluent, so any split order reaches the same
+  fixpoint;
 * **faces** — per chunk of cells, neighbour resolution uses the 2:1
   guarantee (containing leaf at depth ``d`` or ``d-1``, else children
-  at exactly ``d+1``) and a slot encoding replicates the object
-  engine's per-cell emission order bit-for-bit.
+  at exactly ``d+1``) and a slot encoding fixes a per-cell emission
+  order, so the face arrays are independent of the chunk size.
 
-Every floating-point expression mirrors the object engine's operation
-order, so the produced :class:`~repro.mesh.structures.Mesh` arrays are
-bit-identical — the object engine stays available as the differential
-oracle (``engine="object"``).
+Packed keys bound the depth: quadtrees to
+:data:`QUAD_ARRAY_MAX_DEPTH`, octrees to :data:`OCT_ARRAY_MAX_DEPTH`.
+Deeper octrees go through the dict builder in
+:mod:`repro.mesh.octree`, whose floating-point expressions and cell and
+face order this module mirrors bit for bit.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "QUAD_ARRAY_MAX_DEPTH",
     "OCT_ARRAY_MAX_DEPTH",
     "DEFAULT_CHUNK_CELLS",
-    "resolve_engine",
     "build_quadtree_arrays",
     "build_octree_arrays",
 ]
@@ -61,31 +58,6 @@ _CHILD3 = tuple(
 )
 
 
-def resolve_engine(engine: str | None, max_depth: int, limit: int) -> str:
-    """Resolve the mesh ``engine`` knob to ``"array"`` or ``"object"``.
-
-    ``None`` consults ``REPRO_MESH_ENGINE`` and defaults to the array
-    engine, falling back to the object engine when ``max_depth``
-    exceeds the packed-key ``limit``; an *explicitly* requested array
-    engine past the limit raises instead of silently degrading.
-    """
-    explicit = engine is not None
-    if engine is None:
-        engine = os.environ.get("REPRO_MESH_ENGINE", "").strip() or "array"
-    engine = engine.lower()
-    if engine not in ("array", "object"):
-        raise ValueError(
-            f"unknown mesh engine {engine!r} (expected 'array' or 'object')"
-        )
-    if engine == "array" and max_depth > limit:
-        if explicit:
-            raise ValueError(
-                f"array engine supports max_depth <= {limit}, got {max_depth}"
-            )
-        return "object"
-    return engine
-
-
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
@@ -94,7 +66,7 @@ def _sizing_values(sizing, coords: list[np.ndarray]) -> np.ndarray:
 
     One vectorized call is attempted first; scalar-only callables
     (e.g. 3D sizings with chained comparisons) fall back to a
-    per-point loop producing the exact values the object engine sees.
+    per-point loop producing the exact values a scalar call sees.
     """
     n = len(coords[0])
     try:
@@ -217,8 +189,7 @@ def _balance_grid(
     edge-neighbour's containing leaf is two or more levels coarser,
     splits all of them at once, and re-checks only the new children
     plus the leaves whose constraint fired (the closure is confluent,
-    so any forced-split order reaches the same fixpoint as the object
-    engine's work list).
+    so any forced-split order reaches the same fixpoint).
     """
     dim = len(leaf_arrays) - 1
     offsets = _CHILD2 if dim == 2 else _CHILD3
@@ -297,9 +268,8 @@ def _balance_grid(
 # Face accumulation
 # ----------------------------------------------------------------------
 class _FaceChunk:
-    """Collects one chunk's face entries and replays the object
-    engine's per-cell emission order via ``cell * nslots + slot``
-    sort keys."""
+    """Collects one chunk's face entries and restores the per-cell
+    emission order via ``cell * nslots + slot`` sort keys."""
 
     def __init__(self, idx: np.ndarray, nslots: int) -> None:
         self._idx = idx
@@ -361,11 +331,12 @@ def build_quadtree_arrays(
     extent: float = 1.0,
     chunk_cells: int | None = None,
 ) -> Mesh:
-    """Array-engine quadtree build; bit-identical to the object engine
-    in :func:`repro.mesh.quadtree.build_quadtree_mesh`."""
+    """Chunked quadtree build behind
+    :func:`repro.mesh.quadtree.build_quadtree_mesh`."""
     if max_depth > QUAD_ARRAY_MAX_DEPTH:
         raise ValueError(
-            f"array engine supports max_depth <= {QUAD_ARRAY_MAX_DEPTH}"
+            f"quadtree max_depth={max_depth} exceeds the depth limit of "
+            f"{QUAD_ARRAY_MAX_DEPTH} (Morton keys normalize to that depth)"
         )
     chunk = max(1, int(chunk_cells or DEFAULT_CHUNK_CELLS))
     leaves = _refine_grid(
@@ -376,7 +347,7 @@ def build_quadtree_arrays(
     )
 
     # Morton (z-curve) cell order: normalize anchors to depth 24 and
-    # interleave — identical to the object engine's bit loop.
+    # interleave, ties broken by depth.
     sh = 24 - bd
     code = (_spread2((bi << sh).astype(np.uint64)) << np.uint64(1)) | (
         _spread2((bj << sh).astype(np.uint64))
@@ -461,8 +432,9 @@ def build_quadtree_arrays(
 # ----------------------------------------------------------------------
 # Octree
 # ----------------------------------------------------------------------
-# High-side in-face child offsets per axis — must match the object
-# engine's _DIRS table exactly (slot order at refined interfaces).
+# High-side in-face child offsets per axis — must match the dict
+# builder's _DIRS table in repro.mesh.octree exactly (slot order at
+# refined interfaces).
 _OCT_CHILD_OFFSETS = (
     ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)),
     ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)),
@@ -477,11 +449,14 @@ def build_octree_arrays(
     min_depth: int = 2,
     chunk_cells: int | None = None,
 ) -> tuple[Mesh, np.ndarray]:
-    """Array-engine octree build; bit-identical to the object engine
-    in :func:`repro.mesh.octree.build_octree_mesh`."""
+    """Chunked octree build behind
+    :func:`repro.mesh.octree.build_octree_mesh` (up to
+    :data:`OCT_ARRAY_MAX_DEPTH`); bit-identical to the dict builder
+    used past that depth."""
     if max_depth > OCT_ARRAY_MAX_DEPTH:
         raise ValueError(
-            f"array engine supports max_depth <= {OCT_ARRAY_MAX_DEPTH}"
+            f"the array octree build supports max_depth <= "
+            f"{OCT_ARRAY_MAX_DEPTH}; build_octree_mesh handles deeper trees"
         )
     chunk = max(1, int(chunk_cells or DEFAULT_CHUNK_CELLS))
     leaves = _refine_grid(
@@ -490,8 +465,8 @@ def build_octree_arrays(
     balanced = _balance_grid(
         leaves, chunk, _pack_oct, _unpack_oct, _DIRS3
     )
-    # Packed-key order IS lexicographic (d, i, j, k) — the object
-    # engine's sorted(leaves) cell order.
+    # Packed-key order IS lexicographic (d, i, j, k) — the dict
+    # builder's sorted(leaves) cell order.
     order = np.argsort(_pack_oct(*balanced), kind="stable")
     d64, i64, j64, k64 = (c[order] for c in balanced)
     n = d64.size

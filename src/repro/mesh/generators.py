@@ -58,7 +58,6 @@ PAPER_CELL_COUNTS = {
 def cylinder_mesh(
     *,
     max_depth: int = 10,
-    engine: str | None = None,
     chunk_cells: int | None = None,
 ) -> Mesh:
     """CYLINDER replica: radial grading around a central piece.
@@ -92,7 +91,6 @@ def cylinder_mesh(
         sizing,
         max_depth=max_depth,
         min_depth=max_depth - 3,
-        engine=engine,
         chunk_cells=chunk_cells,
     )
 
@@ -100,7 +98,6 @@ def cylinder_mesh(
 def cube_mesh(
     *,
     max_depth: int = 10,
-    engine: str | None = None,
     chunk_cells: int | None = None,
 ) -> Mesh:
     """CUBE replica: three non-contiguous fine hotspots.
@@ -127,7 +124,6 @@ def cube_mesh(
         sizing,
         max_depth=max_depth,
         min_depth=max_depth - 3,
-        engine=engine,
         chunk_cells=chunk_cells,
     )
 
@@ -135,7 +131,6 @@ def cube_mesh(
 def pprime_nozzle_mesh(
     *,
     max_depth: int = 9,
-    engine: str | None = None,
     chunk_cells: int | None = None,
 ) -> Mesh:
     """PPRIME_NOZZLE replica: nozzle exit plus an elongated jet plume.
@@ -161,7 +156,6 @@ def pprime_nozzle_mesh(
         sizing,
         max_depth=max_depth,
         min_depth=max_depth - 2,
-        engine=engine,
         chunk_cells=chunk_cells,
     )
 
@@ -170,7 +164,6 @@ def uniform_mesh(
     *,
     depth: int | None = None,
     max_depth: int = 5,
-    engine: str | None = None,
     chunk_cells: int | None = None,
 ) -> Mesh:
     """Uniform (single temporal level) mesh — baseline and test helper.
@@ -186,8 +179,7 @@ def uniform_mesh(
         return np.full(np.broadcast(x, y).shape, h)
 
     return build_quadtree_mesh(
-        sizing, max_depth=d, min_depth=d, engine=engine,
-        chunk_cells=chunk_cells,
+        sizing, max_depth=d, min_depth=d, chunk_cells=chunk_cells,
     )
 
 

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chunked import OCT_ARRAY_MAX_DEPTH, build_octree_arrays
 from .structures import Mesh
 
 __all__ = ["build_octree_mesh", "octree_cylinder_mesh"]
@@ -102,41 +103,12 @@ def _balance(leaves: dict[tuple[int, int, int, int], None]) -> None:
                 break
 
 
-def build_octree_mesh(
-    sizing: Sizing3D,
-    *,
-    max_depth: int,
-    min_depth: int = 2,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
+def _build_octree_dict(
+    sizing: Sizing3D, max_depth: int, min_depth: int
 ) -> tuple[Mesh, np.ndarray]:
-    """Build a 2:1-balanced octree finite-volume mesh on the unit
-    cube.
-
-    ``engine`` selects the chunked NumPy build (``"array"``, the
-    default) or the original dict/tuple build (``"object"``, the
-    differential oracle); both are bit-identical.  Scalar-only sizing
-    callables are handled by the array engine via a per-point
-    fallback.
-
-    Returns ``(mesh, centers3d)``: the dimension-agnostic
-    :class:`Mesh` (cell volumes are true 3D volumes, face areas true
-    face areas; ``cell_centers``/``face_normal`` carry the x/y
-    components) plus the full ``(n, 3)`` cell centres.
-    """
-    from .chunked import (
-        OCT_ARRAY_MAX_DEPTH,
-        build_octree_arrays,
-        resolve_engine,
-    )
-
-    if resolve_engine(engine, max_depth, OCT_ARRAY_MAX_DEPTH) == "array":
-        return build_octree_arrays(
-            sizing,
-            max_depth=max_depth,
-            min_depth=min_depth,
-            chunk_cells=chunk_cells,
-        )
+    """Dict/tuple octree build for trees deeper than the packed keys of
+    :func:`~repro.mesh.chunked.build_octree_arrays` allow; bit-identical
+    to that build wherever both apply."""
     leaves = _refine(sizing, max_depth, min_depth)
     _balance(leaves)
 
@@ -210,11 +182,41 @@ def build_octree_mesh(
     return mesh, centers3
 
 
+def build_octree_mesh(
+    sizing: Sizing3D,
+    *,
+    max_depth: int,
+    min_depth: int = 2,
+    chunk_cells: int | None = None,
+) -> tuple[Mesh, np.ndarray]:
+    """Build a 2:1-balanced octree finite-volume mesh on the unit
+    cube.
+
+    Trees up to :data:`~repro.mesh.chunked.OCT_ARRAY_MAX_DEPTH` (16)
+    are built by the chunked NumPy passes of :mod:`repro.mesh.chunked`
+    (``chunk_cells`` bounds their transient memory); deeper ones by a
+    dict/tuple build whose result is bit-identical where both apply.
+    Scalar-only sizing callables are handled via a per-point fallback.
+
+    Returns ``(mesh, centers3d)``: the dimension-agnostic
+    :class:`Mesh` (cell volumes are true 3D volumes, face areas true
+    face areas; ``cell_centers``/``face_normal`` carry the x/y
+    components) plus the full ``(n, 3)`` cell centres.
+    """
+    if max_depth > OCT_ARRAY_MAX_DEPTH:
+        return _build_octree_dict(sizing, max_depth, min_depth)
+    return build_octree_arrays(
+        sizing,
+        max_depth=max_depth,
+        min_depth=min_depth,
+        chunk_cells=chunk_cells,
+    )
+
+
 def octree_cylinder_mesh(
     *,
     max_depth: int = 7,
     min_depth: int = 4,
-    engine: str | None = None,
     chunk_cells: int | None = None,
 ) -> tuple[Mesh, np.ndarray]:
     """3D CYLINDER-like case: a thin fine shell around a vertical axis
@@ -239,6 +241,5 @@ def octree_cylinder_mesh(
         sizing,
         max_depth=max_depth,
         min_depth=min_depth,
-        engine=engine,
         chunk_cells=chunk_cells,
     )

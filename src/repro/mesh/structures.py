@@ -6,12 +6,12 @@ on: physical values live on *cells*, fluxes are evaluated on *faces*,
 and every face knows its (up to) two adjacent cells.
 
 All arrays are contiguous NumPy arrays; cell–cell adjacency is derived
-lazily in CSR form for graph algorithms.
+on demand in CSR form for graph algorithms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class Mesh:
     face_area: np.ndarray
     face_normal: np.ndarray
     face_center: np.ndarray
-    _adjacency: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     @property
@@ -79,10 +76,11 @@ class Mesh:
 
         ``face_of`` gives, for every adjacency entry, the index of the
         mesh face realizing it — useful for mapping cut edges back to
-        communication faces.  Cached after the first call.
+        communication faces.  This is the simple stable-sort
+        construction; :func:`repro.mesh.dual.mesh_to_dual_graph` streams
+        the same adjacency without materializing the face table, and the
+        tests and the fuzz harness compare the two array for array.
         """
-        if self._adjacency is not None:
-            return self._adjacency
         interior = self.interior_faces()
         a = self.face_cells[interior, 0]
         b = self.face_cells[interior, 1]
@@ -94,8 +92,7 @@ class Mesh:
         xadj = np.zeros(self.num_cells + 1, dtype=np.int64)
         np.add.at(xadj[1:], src, 1)
         np.cumsum(xadj, out=xadj)
-        self._adjacency = (xadj, dst, fidx)
-        return self._adjacency
+        return xadj, dst, fidx
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on structural inconsistencies."""

@@ -3,14 +3,14 @@
 The paper's production meshes are 6.4M (CYLINDER) and 12.6M cells
 (PPRIME_NOZZLE); the other perf suites top out around 10⁵ cells.  This
 suite drives the *whole* front of the chain at paper scale — chunked
-array-engine mesh generation, dual construction with automatic index
+array mesh generation, dual construction with automatic index
 narrowing, and serial plus process-parallel recursive bisection against
 the shared-memory CSR segment — reporting cells/sec and the process
 memory high-water after every stage (``BENCH_scale.json``).
 
 Unlike the microbenchmark suites there is no seed reference to race:
-the seed code cannot reach this scale at all (the object mesh engine
-alone would materialize tens of millions of Python tuples).  The
+the seed code cannot reach this scale at all (its dict/tuple mesh
+build alone would materialize tens of millions of Python tuples).  The
 figures of merit are therefore absolute throughput, the
 serial-vs-parallel partition ratio, and peak RSS; regressions are
 caught by the loose memory gate plus the ``seconds`` entries diffed by
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..graph.metrics import edge_cut
 from ..graph.partition import partition_graph, recursive_bisection
-from ..mesh.dual import mesh_to_dual_graph, resolve_dual_engine
+from ..mesh.dual import mesh_to_dual_graph
 from ..mesh.generators import cylinder_mesh, uniform_mesh
 from .common import (
     compare_results,
@@ -100,8 +100,9 @@ def run_benchmarks(
     a ``parallel_speedup < 1`` row would gate later comparisons on
     pure noise — the same policy as the kway suite).
 
-    Every case records ``cpus`` (the machine's CPU count) and the dual
-    engine in effect; when ``REPRO_HIERARCHY_BUDGET`` is set, the
+    Every case records ``cpus`` (the machine's CPU count); the
+    ``engine`` entries are fixed literals kept so rows stay comparable
+    with older baselines.  When ``REPRO_HIERARCHY_BUDGET`` is set, the
     serial partition stage also records the hierarchy spill counters.
     """
     del repeats
@@ -192,7 +193,7 @@ def run_benchmarks(
                 "cells_per_s": cells / dual_s,
                 "peak_rss_mib": dual_rss,
                 "index_dtype": str(g.adjncy.dtype),
-                "engine": resolve_dual_engine(None),
+                "engine": "streaming",
             },
             "partition_serial": serial_stage,
             "partition_parallel": parallel_stage,

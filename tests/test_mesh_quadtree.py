@@ -103,10 +103,6 @@ class TestGradedMesh:
         fwd = set(zip(src.tolist(), adjncy.tolist()))
         assert all((b, a) in fwd for a, b in fwd)
 
-    def test_adjacency_cached(self):
-        m = graded_mesh()
-        assert m.cell_adjacency() is m.cell_adjacency()
-
     def test_sizing_respected(self):
         """Cells in the fine region must be at max depth."""
         m = graded_mesh()
@@ -121,6 +117,29 @@ class TestGradedMesh:
         m = graded_mesh()
         d = np.linalg.norm(np.diff(m.cell_centers, axis=0), axis=1)
         assert np.median(d) < 0.1
+
+
+class TestDepthLimit:
+    def test_past_depth_24_raises_up_front(self):
+        """Morton keys normalize to depth 24; a deeper request must be
+        rejected before any refinement, naming the limit."""
+        h = 1.0 / (1 << 25)
+
+        def sizing(x, y):
+            return np.maximum(h, 0.5 * np.hypot(x - 0.3, y - 0.3))
+
+        with pytest.raises(ValueError, match="depth limit of 24"):
+            build_quadtree_mesh(sizing, max_depth=25, min_depth=1)
+
+    def test_depth_24_builds(self):
+        h = 1.0 / (1 << 24)
+
+        def sizing(x, y):
+            return np.maximum(h, 0.5 * np.hypot(x - 0.3, y - 0.3))
+
+        m = build_quadtree_mesh(sizing, max_depth=24, min_depth=1)
+        assert m.cell_depth.max() == 24
+        m.validate()
 
 
 class TestMeshValidation:

@@ -152,3 +152,105 @@ class TestOctreeProperties:
                 np.abs(mesh.cell_depth[a] - mesh.cell_depth[b]).max() <= 1
             )
         assert mesh.face_area[mesh.boundary_faces()].sum() == pytest.approx(6.0)
+
+
+def _point_graded(depth):
+    """Cells grow linearly with the distance to an off-centre point, so
+    even a very deep tree stays a few thousand cells."""
+    h = 1.0 / (1 << depth)
+
+    def sizing(x, y, z):
+        d = np.sqrt((x - 0.3) ** 2 + (y - 0.3) ** 2 + (z - 0.3) ** 2)
+        return np.maximum(h, 0.5 * d)
+
+    return sizing
+
+
+def _scalar_shell(depth):
+    """Scalar-only sizing (chained comparisons and ``if``), which the
+    array build evaluates point by point."""
+    h = 1.0 / (1 << depth)
+
+    def sizing(x, y, z):
+        r = float(np.hypot(x - 0.5, y - 0.5))
+        if 0.4 <= z <= 0.6 and abs(r - 0.2) <= 2 * h:
+            return h
+        return 4.0 * h
+
+    return sizing
+
+
+class TestDeepOctreeFallback:
+    """The dict builder is the only path past ``OCT_ARRAY_MAX_DEPTH``;
+    where both apply it must equal the array build bit for bit."""
+
+    @pytest.mark.parametrize("depth", [5, 7])
+    @pytest.mark.parametrize("make_sizing", [_point_graded, _scalar_shell])
+    def test_dict_builder_matches_arrays(self, depth, make_sizing):
+        from repro.mesh.chunked import build_octree_arrays
+        from repro.mesh.octree import _build_octree_dict
+
+        sizing = make_sizing(depth)
+        got, c3 = _build_octree_dict(sizing, depth, 2)
+        want, w3 = build_octree_arrays(sizing, max_depth=depth, min_depth=2)
+        assert got.cell_depth.max() == depth
+        for name in (
+            "cell_centers",
+            "cell_volumes",
+            "cell_depth",
+            "face_cells",
+            "face_area",
+            "face_normal",
+            "face_center",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(c3, w3)
+
+    def test_depth_17_goes_through_dict_builder(self, monkeypatch):
+        from repro.mesh import octree
+        from repro.mesh.chunked import OCT_ARRAY_MAX_DEPTH
+
+        calls = []
+        real = octree._build_octree_dict
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(octree, "_build_octree_dict", spy)
+        depth = OCT_ARRAY_MAX_DEPTH + 1
+        mesh, c3 = build_octree_mesh(
+            _point_graded(depth), max_depth=depth, min_depth=1
+        )
+        assert calls == [depth]
+        assert mesh.cell_depth.max() == depth
+        # Mesh.validate(): its 2D closure check does not apply to the
+        # projected x/y normals of an octree, so check the rest of it
+        # and a 3D closure: every cell's faces cover its six sides.
+        n, m = mesh.num_cells, mesh.num_faces
+        assert c3.shape == (n, 3)
+        assert mesh.face_cells.shape == (m, 2)
+        assert np.all(mesh.cell_volumes > 0) and np.all(mesh.face_area > 0)
+        a, b = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+        assert a.min() >= 0 and a.max() < n and b.max() < n
+        assert not np.any(a == b)
+        np.testing.assert_allclose(
+            np.linalg.norm(mesh.face_normal, axis=1), 1.0
+        )
+        covered = np.bincount(a, weights=mesh.face_area, minlength=n)
+        interior = mesh.interior_faces()
+        covered += np.bincount(
+            b[interior], weights=mesh.face_area[interior], minlength=n
+        )
+        side = 1.0 / (1 << mesh.cell_depth.astype(np.int64))
+        np.testing.assert_allclose(covered, 6.0 * side**2)
+        assert mesh.cell_volumes.sum() == pytest.approx(1.0)
+        assert mesh.face_area[mesh.boundary_faces()].sum() == pytest.approx(
+            6.0
+        )
+        # 2:1 balance.
+        da = mesh.cell_depth[a[interior]]
+        db = mesh.cell_depth[b[interior]]
+        assert np.abs(da - db).max() <= 1

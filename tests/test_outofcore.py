@@ -1,12 +1,13 @@
 """Tests for the out-of-core scale rung.
 
-Three surfaces introduced together: streaming dual construction
-(chunked two-pass count/fill, bit-identical to the materialized
-oracle), the byte-budgeted spillable coarsening hierarchy
-(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``), and the compiled
-kernels for coarsening contraction and FM degree recomputation — plus
-the honest scale-suite rows (per-case ``cpus``, skip-with-reason
-parallel legs) and the per-case memory gate they feed.
+Streaming dual construction (chunked two-pass count/fill,
+bit-identical to the materialized :meth:`Mesh.cell_adjacency`
+reference), the byte-budgeted spillable coarsening hierarchy
+(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``), the coarsening
+contraction and FM degree recomputation checked against per-edge
+references — plus the honest scale-suite rows (per-case ``cpus``,
+skip-with-reason parallel legs) and the per-case memory gate they
+feed.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from repro.graph.coarsen import HierarchySpill, contract, heavy_edge_matching
 from repro.graph.partition import partition_graph
 from repro.graph.refine import _degrees
 from repro.graph.shared import stale_segments, sweep_stale_segments
-from repro.mesh.dual import (
-    DEFAULT_CHUNK_FACES,
-    mesh_to_dual_graph,
-    resolve_dual_engine,
-)
+from repro.mesh.dual import DEFAULT_CHUNK_FACES, mesh_to_dual_graph
 from repro.mesh.generators import cylinder_mesh, uniform_mesh
 
 
@@ -38,6 +35,20 @@ def _assert_same_graph(a: CSRGraph, b: CSRGraph) -> None:
     np.testing.assert_array_equal(a.adjwgt, b.adjwgt)
     assert a.adjncy.dtype == b.adjncy.dtype
     assert a.adjwgt.dtype == b.adjwgt.dtype
+
+
+def _reference_dual(
+    mesh, edge_weight="unit", index_dtype=None, weight_dtype=None
+) -> CSRGraph:
+    """The dual graph assembled from :meth:`Mesh.cell_adjacency`."""
+    xadj, adjncy, face_of = mesh.cell_adjacency()
+    if index_dtype is not None:
+        adjncy = adjncy.astype(index_dtype)
+    if edge_weight == "area":
+        adjwgt = mesh.face_area[face_of].astype(weight_dtype or np.float64)
+    else:
+        adjwgt = np.ones(len(adjncy), dtype=weight_dtype or np.float64)
+    return CSRGraph(xadj, adjncy, adjwgt=adjwgt)
 
 
 def _spill_litter() -> list[str]:
@@ -53,27 +64,19 @@ class TestStreamingDual:
     @pytest.mark.parametrize("edge_weight", ["unit", "area"])
     def test_bit_identical_to_materialized(self, depth, chunk, edge_weight):
         mesh = uniform_mesh(depth=depth)
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight=edge_weight, engine="materialized"
-        )
+        ref = _reference_dual(mesh, edge_weight)
         got = mesh_to_dual_graph(
-            mesh,
-            edge_weight=edge_weight,
-            engine="streaming",
-            chunk_faces=chunk,
+            mesh, edge_weight=edge_weight, chunk_faces=chunk
         )
         _assert_same_graph(ref, got)
 
     def test_adaptive_mesh_and_narrowing(self):
         mesh = cylinder_mesh(max_depth=6)
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight="area", index_dtype="auto", engine="materialized"
-        )
+        ref = _reference_dual(mesh, "area", index_dtype=np.int32)
         got = mesh_to_dual_graph(
             mesh,
             edge_weight="area",
             index_dtype="auto",
-            engine="streaming",
             chunk_faces=997,  # prime chunk: windows never align with runs
         )
         _assert_same_graph(ref, got)
@@ -81,38 +84,15 @@ class TestStreamingDual:
 
     def test_weight_dtype_narrowing(self):
         mesh = uniform_mesh(depth=4)
-        ref = mesh_to_dual_graph(
-            mesh,
-            edge_weight="area",
-            weight_dtype=np.float32,
-            engine="materialized",
-        )
+        ref = _reference_dual(mesh, "area", weight_dtype=np.float32)
         got = mesh_to_dual_graph(
             mesh,
             edge_weight="area",
             weight_dtype=np.float32,
-            engine="streaming",
             chunk_faces=13,
         )
         _assert_same_graph(ref, got)
         assert got.adjwgt.dtype == np.float32
-
-    def test_engine_resolution(self, monkeypatch):
-        assert resolve_dual_engine(None) == "streaming"
-        assert resolve_dual_engine("materialized") == "materialized"
-        monkeypatch.setenv("REPRO_DUAL_ENGINE", "materialized")
-        assert resolve_dual_engine(None) == "materialized"
-        with pytest.raises(ValueError, match="unknown dual engine"):
-            resolve_dual_engine("mmap")
-
-    def test_warm_adjacency_cache_reused_unless_explicit(self):
-        mesh = uniform_mesh(depth=3)
-        mesh.cell_adjacency()  # warm the cache
-        assert mesh._adjacency is not None
-        # Default engine serves the warm cache; explicit request streams.
-        cached = mesh_to_dual_graph(mesh)
-        streamed = mesh_to_dual_graph(mesh, engine="streaming")
-        _assert_same_graph(cached, streamed)
 
 
 # ----------------------------------------------------------------------
@@ -241,23 +221,46 @@ class TestSpillGc:
 
 
 # ----------------------------------------------------------------------
-# Compiled kernels: contraction merge + degree recomputation
+# Multilevel kernels: contraction merge + degree recomputation
 # ----------------------------------------------------------------------
+def _reference_contract(g: CSRGraph, cmap: np.ndarray, nc: int):
+    """Per-edge dict accumulation of the coarse graph's merged edges,
+    in (source, target) order."""
+    merged: dict[tuple[int, int], float] = {}
+    src = g.edge_sources()
+    for e in range(len(g.adjncy)):
+        a, b = int(cmap[src[e]]), int(cmap[g.adjncy[e]])
+        if a != b:
+            merged[(a, b)] = merged.get((a, b), 0.0) + float(g.adjwgt[e])
+    keys = sorted(merged)
+    xadj = np.zeros(nc + 1, dtype=np.int64)
+    np.add.at(xadj, np.array([k[0] for k in keys], dtype=np.int64) + 1, 1)
+    return (
+        np.cumsum(xadj),
+        np.array([k[1] for k in keys], dtype=np.int64),
+        np.array([merged[k] for k in keys], dtype=np.float64),
+    )
+
+
 class TestMultilevelKernels:
     def test_contract_merge_bit_identical(self):
         g = mesh_to_dual_graph(
             uniform_mesh(depth=4), edge_weight="area", index_dtype="auto"
         )
         match = heavy_edge_matching(g, np.random.default_rng(1))
-        ref = contract(g, match, compiled=False)
-        ker = contract(g, match, compiled=True)
-        _assert_same_graph(ref.graph, ker.graph)
-        np.testing.assert_array_equal(ref.graph.vwgt, ker.graph.vwgt)
-        np.testing.assert_array_equal(ref.cmap, ker.cmap)
+        got = contract(g, match)
+        xadj, adjncy, adjwgt = _reference_contract(
+            g, got.cmap, got.graph.num_vertices
+        )
+        np.testing.assert_array_equal(got.graph.xadj, xadj)
+        np.testing.assert_array_equal(got.graph.adjncy, adjncy)
+        np.testing.assert_array_equal(got.graph.adjwgt, adjwgt)
+        assert got.graph.adjncy.dtype == np.int32
+        assert got.graph.vwgt.sum() == g.vwgt.sum()
 
     def test_contract_merge_empty_coarse_edges(self):
         # Two matched vertices joined by one edge: the coarse graph has
-        # no edges at all, exercising the ng == 0 corner.
+        # no edges at all.
         g = CSRGraph(
             np.array([0, 1, 2]),
             np.array([1, 0]),
@@ -265,43 +268,28 @@ class TestMultilevelKernels:
             adjwgt=np.ones(2),
         )
         match = np.array([1, 0])
-        ref = contract(g, match, compiled=False)
-        ker = contract(g, match, compiled=True)
-        _assert_same_graph(ref.graph, ker.graph)
+        got = contract(g, match)
+        np.testing.assert_array_equal(got.graph.xadj, [0, 0])
+        assert len(got.graph.adjncy) == 0
+        np.testing.assert_array_equal(got.graph.vwgt, [[2.0]])
 
     def test_degrees_bit_identical(self):
         g = mesh_to_dual_graph(uniform_mesh(depth=4), edge_weight="area")
         part = (np.random.default_rng(2).random(g.num_vertices) < 0.5).astype(
             np.int32
         )
-        i0, e0 = _degrees(g, part, compiled=False)
-        i1, e1 = _degrees(g, part, compiled=True)
-        np.testing.assert_array_equal(i0, i1)
-        np.testing.assert_array_equal(e0, e1)
-
-    def test_force_mode_end_to_end(self, monkeypatch):
-        """``REPRO_COMPILED=force`` must flip every kernel dispatch on
-        (interpreted without Numba) and leave the labels bit-identical."""
-        g = mesh_to_dual_graph(uniform_mesh(depth=4))
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        base = partition_graph(g, 4, seed=5)
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        forced = partition_graph(g, 4, seed=5)
-        np.testing.assert_array_equal(base.part, forced.part)
-
-    def test_force_mode_with_spill(self, monkeypatch):
-        """Kernel tier and spill tier compose: forcing both at once is
-        still bit-identical to the plain path."""
-        g = mesh_to_dual_graph(uniform_mesh(depth=4))
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        monkeypatch.delenv("REPRO_HIERARCHY_BUDGET", raising=False)
-        base = partition_graph(g, 4, seed=5)
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        monkeypatch.setenv("REPRO_HIERARCHY_BUDGET", "1")
-        forced = partition_graph(g, 4, seed=5)
-        np.testing.assert_array_equal(base.part, forced.part)
-        assert forced.spill["spills"] > 0
-        assert not _spill_litter()
+        ideg, edeg = _degrees(g, part)
+        # Sequential per-vertex accumulation in CSR edge order.
+        want_i = np.zeros(g.num_vertices)
+        want_e = np.zeros(g.num_vertices)
+        for v in range(g.num_vertices):
+            for idx in range(g.xadj[v], g.xadj[v + 1]):
+                if part[g.adjncy[idx]] == part[v]:
+                    want_i[v] += g.adjwgt[idx]
+                else:
+                    want_e[v] += g.adjwgt[idx]
+        np.testing.assert_array_equal(ideg, want_i)
+        np.testing.assert_array_equal(edeg, want_e)
 
 
 # ----------------------------------------------------------------------
