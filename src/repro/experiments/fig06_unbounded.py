@@ -45,12 +45,7 @@ def run(
     dag, trace, metrics = run_flusim(
         mesh_name, domains, processes, None, "SC_OC", scale=scale, seed=seed
     )
-    idle = np.array(
-        [
-            trace.process_idle_time(p) / trace.makespan
-            for p in range(processes)
-        ]
-    )
+    idle = trace.process_idle_times() / trace.makespan
     return Fig6Result(
         makespan=metrics.makespan,
         critical_path=metrics.critical_path,

@@ -30,7 +30,10 @@
   spill budget with bit-identical labels;
 * **DAG checks** — every mesh decomposition is expanded into Euler and
   Heun task graphs and audited with
-  :func:`repro.taskgraph.verify.verify_dag`;
+  :func:`repro.taskgraph.verify.verify_dag`; their bottom levels must
+  certify themselves (``bl[sink] == cost[sink]``, ``bl[u] >= cost[u] +
+  bl[v]`` per edge with equality on some successor, critical path ==
+  max), and the downstream schedules' idle fractions lie in [0, 1];
 * **downstream differentials** — per seed, one decomposition is pushed
   through the vectorized Algorithm 1 generator and the low-overhead
   FLUSIM engine and compared against the seed oracles
@@ -445,6 +448,29 @@ def _check_downstream(
                 f"-{'comm' if comm else 'nocomm'}",
                 "; ".join(diffs[:3]),
             )
+        idle = got.total_process_idle_fraction()
+        if not 0.0 <= idle <= 1.0:
+            fail("idle-fraction", f"{idle!r} outside [0, 1]")
+
+
+def _bottom_level_violations(dag) -> list[str]:
+    """Oracle-free certificate of :meth:`TaskDAG.critical_path`: the
+    bottom levels solve the longest-path recurrence exactly."""
+    cost, (cp, bl) = dag.tasks.cost.astype(np.float64), dag.critical_path()
+    u, v = dag.edges.T
+    sink = np.diff(dag.successors_csr()[0]) == 0
+    tight = np.zeros(dag.num_tasks, dtype=bool)
+    tight[u[bl[u] == cost[u] + bl[v]]] = True
+    return [
+        detail
+        for detail, held in (
+            ("bl[sink] != cost[sink]", np.array_equal(bl[sink], cost[sink])),
+            ("bl[u] < cost[u] + bl[v]", np.all(bl[u] >= cost[u] + bl[v])),
+            ("non-sink tight on no successor", np.all(tight | sink)),
+            (f"cp {cp} != max bl", cp == (bl.max() if len(bl) else 0.0)),
+        )
+        if not held
+    ]
 
 
 def _check_streaming_dual(
@@ -541,7 +567,7 @@ def _fuzz_mesh_case(report: FuzzReport, seed: int, case: MeshCase) -> None:
                 )
                 bad = verify_dag(
                     dag, case.mesh, case.tau, scheme=scheme
-                )
+                ) + _bottom_level_violations(dag)
                 if bad:
                     fail(f"{strat}-dag-{scheme}", "; ".join(bad))
             if strat == downstream_strat:

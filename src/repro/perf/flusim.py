@@ -11,18 +11,24 @@ engine's code paths:
 * ``eager_comm`` — the same with an α/β communication model
   (precomputed delays + READY events);
 * ``cp`` — critical-path priority queue, multi-core (the heap-queue
-  path).
+  path).  Both engines share the DAG's cached bottom levels, so after
+  the first repeat this row times the event loops only.
 
 Every timed pair is also checked for bit-identical traces
 (:func:`~repro.flusim.trace.trace_differences`), so the benchmark
-doubles as a differential test.  Results land in ``BENCH_flusim.json``.
+doubles as a differential test.  The ``analytics`` row is absolute
+throughput (tasks/s, with the CPU count): a cold critical path on a
+fresh ``TaskDAG`` per repeat plus one schedule's idle merge.  Results
+land in ``BENCH_flusim.json``.
 """
 
 from __future__ import annotations
 
+import os
+
 from ..flusim import ClusterConfig, CommModel, simulate, simulate_ref
 from ..flusim.trace import trace_differences
-from ..taskgraph import generate_task_graph
+from ..taskgraph import TaskDAG, generate_task_graph
 from .common import (
     best_of,
     compare_results,
@@ -83,6 +89,19 @@ def _bench_config(dag, nproc: int, name: str, repeats: int) -> dict:
     }
 
 
+def _bench_analytics(dag, nproc: int, repeats: int) -> dict:
+    trace = simulate(dag, ClusterConfig(nproc, 1))
+    fast_s = best_of(
+        lambda: (
+            TaskDAG(dag.tasks, dag.edges).critical_path(),
+            trace.total_process_idle_fraction(),
+        ),
+        repeats,
+    )
+    rate = dag.num_tasks / fast_s
+    return {"fast_s": fast_s, "tasks_per_s": rate, "nproc": os.cpu_count()}
+
+
 def run_benchmarks(
     *, size: str = "full", repeats: int = 3, seed: int = 0
 ) -> dict:
@@ -98,6 +117,7 @@ def run_benchmarks(
             name: _bench_config(dag, nproc, name, repeats)
             for name in CONFIGS
         },
+        "analytics": _bench_analytics(dag, nproc, repeats),
     }
 
 
@@ -125,5 +145,10 @@ def format_report(result: dict) -> str:
             lines.append(
                 f"  simulate {name:10s}: ref {c['ref_s'] * 1e3:8.1f} ms -> "
                 f"fast {c['fast_s'] * 1e3:8.1f} ms  ({c['speedup']:.2f}x)"
+            )
+        if a := case.get("analytics"):
+            lines.append(
+                f"  analytics (cold critical path + idle merge): "
+                f"{a['tasks_per_s']:,.0f} tasks/s on {a['nproc']} CPU(s)"
             )
     return "\n".join(lines)

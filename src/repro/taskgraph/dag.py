@@ -2,7 +2,13 @@
 
 Holds the task table plus the dependency structure in CSR form (both
 directions), and provides the DAG analytics the experiments need:
-topological order, critical path, width profile.
+topological order, critical path, width profile.  All three run on one
+level-synchronous kernel (:meth:`TaskDAG._waves`) that peels the sources
+a wave at a time; bottom levels are filled wave by wave, last first, as
+``cost[v] + max(bl[succ])`` — one IEEE add as in a per-task loop, so the
+results are bit-identical to one.  A DAG caches its CSR arrays and
+critical path on first use and assumes ``tasks``/``edges`` never change
+afterwards: build a new :class:`TaskDAG` instead of editing one.
 """
 
 from __future__ import annotations
@@ -39,6 +45,13 @@ def _csr_from_pairs(
     return xadj, dst
 
 
+def _gather(xadj: np.ndarray, adj: np.ndarray, rows: np.ndarray):
+    """The CSR rows ``rows`` concatenated, and each row's length."""
+    lo, cnt = xadj[rows], xadj[rows + 1] - xadj[rows]
+    idx = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    return adj[idx], cnt
+
+
 @dataclass
 class TaskDAG:
     """A task graph: tasks plus dependency edges.
@@ -53,6 +66,9 @@ class TaskDAG:
         default=None, repr=False, compare=False
     )
     _pred: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _critical: tuple[float, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -96,28 +112,29 @@ class TaskDAG:
         return deg
 
     # ------------------------------------------------------------------
-    def topological_order(self) -> np.ndarray:
-        """A topological order (Kahn); raises on cycles."""
-        n = self.num_tasks
-        indeg = self.in_degrees()
+    def _waves(self) -> list[np.ndarray]:
+        """Level-synchronous Kahn peel: the tasks as waves of ids.
+
+        Wave 0 is every source; wave k holds the tasks whose last
+        predecessor sat in wave k-1, so the wave index is the depth.
+        One ``np.unique`` per wave decrements the remaining in-degrees
+        of the gathered successor slices: O(frontier edges) a wave.
+        """
         sx, sa = self.successors_csr()
-        out = np.empty(n, dtype=np.int64)
-        head = 0
-        tail = 0
-        ready = np.flatnonzero(indeg == 0)
-        out[: len(ready)] = ready
-        tail = len(ready)
-        while head < tail:
-            v = out[head]
-            head += 1
-            for u in sa[sx[v] : sx[v + 1]]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    out[tail] = u
-                    tail += 1
-        if tail != n:
+        remaining = self.in_degrees()
+        waves = [np.flatnonzero(remaining == 0)]
+        while len(waves[-1]):
+            succ = _gather(sx, sa, waves[-1])[0]
+            nbr, k = np.unique(succ, return_counts=True)
+            remaining[nbr] -= k
+            waves.append(nbr[remaining[nbr] == 0])
+        if sum(map(len, waves)) != self.num_tasks:
             raise ValueError("task graph contains a cycle")
-        return out
+        return waves[:-1]
+
+    def topological_order(self) -> np.ndarray:
+        """A topological order, sources first; raises on cycles."""
+        return np.concatenate([np.empty(0, np.int64), *self._waves()])
 
     def critical_path(self) -> tuple[float, np.ndarray]:
         """Critical-path length and per-task *bottom levels*.
@@ -125,28 +142,26 @@ class TaskDAG:
         The bottom level of a task is the longest cost-weighted path
         from the task (inclusive) to any sink — the classic HEFT
         upward-rank priority.  The critical-path length is the maximum
-        bottom level, a lower bound on any schedule's makespan.
+        bottom level, a lower bound on any schedule's makespan.  Both
+        are computed once per DAG (bottom levels come back read-only).
         """
-        order = self.topological_order()
-        sx, sa = self.successors_csr()
-        cost = self.tasks.cost
-        bl = cost.astype(np.float64).copy()
-        for v in order[::-1]:
-            s = sa[sx[v] : sx[v + 1]]
-            if len(s):
-                bl[v] = cost[v] + bl[s].max()
-        return (float(bl.max()) if len(bl) else 0.0), bl
+        if self._critical is None:
+            sx, sa = self.successors_csr()
+            cost = self.tasks.cost.astype(np.float64)
+            bl = cost.copy()
+            for wave in reversed(self._waves()):
+                succ, cnt = _gather(sx, sa, wave)
+                inner = cnt > 0  # sinks keep bl == cost
+                bl[wave[inner]] = cost[wave[inner]] + np.maximum.reduceat(
+                    bl[succ], (np.cumsum(cnt) - cnt)[inner]
+                )
+            bl.flags.writeable = False
+            self._critical = (float(bl.max()) if len(bl) else 0.0), bl
+        return self._critical
 
     def width_profile(self) -> np.ndarray:
         """Number of tasks per DAG depth level (parallelism profile)."""
-        order = self.topological_order()
-        px, pa = self.predecessors_csr()
-        depth = np.zeros(self.num_tasks, dtype=np.int64)
-        for v in order:
-            p = pa[px[v] : px[v + 1]]
-            if len(p):
-                depth[v] = depth[p].max() + 1
-        return np.bincount(depth) if len(depth) else np.zeros(0, dtype=np.int64)
+        return np.array([len(w) for w in self._waves()], dtype=np.int64)
 
     def validate(self) -> None:
         """Raise on malformed edges or cycles."""

@@ -132,3 +132,52 @@ class TestDAGOracle:
         pos = {int(v): i for i, v in enumerate(order)}
         assert all(pos[u] < pos[v] for u, v in G.edges())
         assert sorted(pos) == list(range(n))
+
+
+def _relabelled_random_dag(seed, p):
+    """A random DAG whose node ids are a random permutation of a
+    ``u < v`` numbering — ids are *not* topologically ordered."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    G = nx.gnp_random_graph(n, p, seed=seed, directed=True)
+    perm = rng.permutation(n)
+    H = nx.DiGraph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from(
+        (int(perm[u]), int(perm[v])) for u, v in G.edges() if u < v
+    )
+    return H, rng.uniform(0.5, 5.0, n)
+
+
+class TestDAGOracleRelabelled:
+    @given(st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_bottom_levels_match_networkx(self, seed):
+        G, costs = _relabelled_random_dag(seed, 0.3)
+        dag = _dag_from_nx(G, costs)
+        cp, bl = dag.critical_path()
+        # Bottom levels by an independent DP over networkx's order.
+        want = {}
+        for v in reversed(list(nx.topological_sort(G))):
+            want[v] = costs[v] + max(
+                (want[s] for s in G.successors(v)), default=0.0
+            )
+        assert bl == pytest.approx([want[v] for v in range(len(costs))])
+        assert cp == pytest.approx(max(want.values()))
+
+    @given(st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_topological_order_valid(self, seed):
+        G, costs = _relabelled_random_dag(seed, 0.25)
+        order = _dag_from_nx(G, costs).topological_order()
+        pos = {int(v): i for i, v in enumerate(order)}
+        assert sorted(pos) == list(range(G.number_of_nodes()))
+        assert all(pos[u] < pos[v] for u, v in G.edges())
+
+    @given(st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_width_profile_matches_networkx_generations(self, seed):
+        G, costs = _relabelled_random_dag(seed, 0.25)
+        widths = [len(g) for g in nx.topological_generations(G)]
+        assert list(_dag_from_nx(G, costs).width_profile()) == widths
+
