@@ -11,6 +11,10 @@ Karypis & Kumar: among heaviest edges, prefer the neighbour whose
 combined weight vector is most evenly spread over the constraints,
 which keeps constraint classes mixed inside coarse vertices and makes
 balanced initial partitions reachable.
+
+Matching runs vectorized proposal rounds over a shrinking live edge
+set; the greedy tail below a few thousand live edges walks that edge
+set on Python lists.
 """
 
 from __future__ import annotations
@@ -200,50 +204,46 @@ def _segmented_argmax_first(
 
 
 def _matching_fallback(
-    g: CSRGraph,
     match: np.ndarray,
-    candidates: np.ndarray,
+    e_src: np.ndarray,
+    e_dst: np.ndarray,
+    e_w: np.ndarray,
+    e_spread: np.ndarray | None,
     rng: np.random.Generator,
-    multi: bool,
 ) -> None:
-    """Greedy per-vertex matching over the remaining ``candidates``.
+    """Greedy per-vertex matching over the remaining live edges.
 
     Invoked on the small tail left after the vectorized proposal rounds
-    (or when a round makes no progress on an adversarial tie pattern);
-    guarantees termination with the same semantics as the seed loop.
+    (or when a round makes no progress on an adversarial tie pattern)
+    with their compacted, source-sorted edge arrays.  A vertex's live
+    edges are exactly its unmatched neighbours in CSR order, so this
+    keeps the seed loop's semantics and random stream.
     """
-    xadj, adjncy, adjwgt, vwgt = g.xadj, g.adjncy, g.adjwgt, g.vwgt
-    if vwgt.dtype != np.float64:
-        # Compare spreads in float64 so narrowed graphs match the wide
-        # path bit for bit.
-        vwgt = vwgt.astype(np.float64)
-    for v in candidates[rng.permutation(len(candidates))]:
-        if match[v] != v:
+    rows, lo, cnt = np.unique(e_src, return_index=True, return_counts=True)
+    order = rng.permutation(len(rows))
+    lo, hi = lo[order], lo[order] + cnt[order]
+    m, dst, wl = match.tolist(), e_dst.tolist(), e_w.tolist()
+    sl = None if e_spread is None else e_spread.tolist()
+    for v, a, b in zip(rows[order].tolist(), lo.tolist(), hi.tolist()):
+        if m[v] != v:
             continue
-        best = -1
-        best_w = -np.inf
-        best_spread = np.inf
-        for idx in range(xadj[v], xadj[v + 1]):
-            u = adjncy[idx]
-            if match[u] != u or u == v:
+        best, best_w, best_spread = -1, -np.inf, np.inf
+        for idx in range(a, b):
+            u = dst[idx]
+            if m[u] != u or u == v:
                 continue
-            w = float(adjwgt[idx])
-            if multi:
-                if w > best_w + 1e-12:
-                    combined = vwgt[v] + vwgt[u]
-                    best, best_w = u, w
-                    best_spread = float(combined.max() - combined.min())
-                elif w > best_w - 1e-12:
-                    combined = vwgt[v] + vwgt[u]
-                    spread = float(combined.max() - combined.min())
-                    if spread < best_spread:
-                        best, best_w, best_spread = u, w, spread
-            else:
+            w = wl[idx]
+            if sl is None:
                 if w > best_w:
                     best, best_w = u, w
+            elif w > best_w + 1e-12:
+                best, best_w, best_spread = u, w, sl[idx]
+            elif w > best_w - 1e-12 and sl[idx] < best_spread:
+                best, best_w, best_spread = u, w, sl[idx]
         if best >= 0:
-            match[v] = best
-            match[best] = v
+            m[v] = best
+            m[best] = v
+    match[:] = m
 
 
 def heavy_edge_matching(
@@ -294,8 +294,15 @@ def heavy_edge_matching(
         vw = g.vwgt
         if vw.dtype != np.float64:
             vw = vw.astype(np.float64)
-        combined = vw[e_src] + vw[e_dst]
-        e_spread = combined.max(axis=1) - combined.min(axis=1)
+        # Column by column: a max/min reduction over the short
+        # constraint axis is slow, and both are exact either way.
+        hi = vw[e_src, 0] + vw[e_dst, 0]
+        lo = hi.copy()
+        for c in range(1, g.ncon):
+            x = vw[e_src, c] + vw[e_dst, c]
+            np.maximum(hi, x, out=hi)
+            np.minimum(lo, x, out=lo)
+        e_spread = hi - lo
     else:
         e_spread = None
 
@@ -368,8 +375,11 @@ def heavy_edge_matching(
             if multi:
                 e_spread = e_spread[keep]
     if len(e_src):
-        # Unmatched vertices that still have unmatched neighbours.
-        _matching_fallback(g, match, np.unique(e_src), rng, multi)
+        # Unmatched vertices that still have unmatched neighbours; the
+        # uniform path never compacted e_w, so pass its constant value.
+        if uniform:
+            e_w = np.full(len(e_src), e_w[0])
+        _matching_fallback(match, e_src, e_dst, e_w, e_spread, rng)
     return match
 
 

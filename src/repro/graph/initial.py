@@ -9,6 +9,10 @@ trials are run and the best feasible bisection kept.
 For multi-constraint graphs the stopping rule and the tie-breaks
 consider all constraints: a vertex is preferred if it reduces the cut
 and moves every under-filled constraint toward its target.
+
+Greedy growing indexes one vertex at a time, so it keeps the CSR rows,
+float64 weights, labels, gains and per-constraint fill in Python lists
+rather than reading NumPy arrays scalar by scalar.
 """
 
 from __future__ import annotations
@@ -59,49 +63,46 @@ def greedy_graph_growing(
     discrete weights).
     """
     n = g.num_vertices
-    total = g.total_vwgt()
-    want = total * target_frac
-    part = np.ones(n, dtype=np.int32)
-    acc = np.zeros(g.ncon, dtype=np.float64)
-
+    want = (g.total_vwgt() * target_frac).tolist()
     seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(n))
+    # Plain-list state: weights widen to float64 exactly as NumPy
+    # promotion would, so narrowed graphs give the same labels.
+    xadj: list = g.xadj.tolist()
+    adj: list = g.adjncy.tolist()
+    awt: list = g.adjwgt.astype(np.float64, copy=False).tolist()
+    vw: list = g.vwgt.astype(np.float64, copy=False).tolist()
+    part = [1] * n
+    acc = [0.0] * g.ncon
     # gain[v] = (weight of edges from v into part0) - (edges to part1)
-    gain = np.full(n, -np.inf)
-    in_heap = np.zeros(n, dtype=bool)
+    gain = [-np.inf] * n
     heap: list[tuple[float, int, int]] = []
     counter = 0
 
-    def push(v: int, gval: float) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (-gval, counter, v))
-        counter += 1
-        gain[v] = gval
-        in_heap[v] = True
-
     def grow(v: int) -> None:
-        nonlocal acc
+        nonlocal counter
         part[v] = 0
-        acc = acc + g.vwgt[v]
-        for idx in range(g.xadj[v], g.xadj[v + 1]):
-            u = g.adjncy[idx]
+        for c, w in enumerate(vw[v]):
+            acc[c] += w
+        for u in adj[xadj[v] : xadj[v + 1]]:
             if part[u] == 0:
                 continue
-            # Recompute u's gain: edges to part0 minus edges to part1.
-            # Accumulate in float64 via Python floats so narrowed
-            # (float32) edge weights give bit-identical gains.
+            # Recompute u's gain: edges to part0 minus edges to part1,
+            # summed in CSR order.
             to0 = 0.0
             to1 = 0.0
-            for j in range(g.xadj[u], g.xadj[u + 1]):
-                t = g.adjncy[j]
-                if part[t] == 0:
-                    to0 += float(g.adjwgt[j])
+            for j in range(xadj[u], xadj[u + 1]):
+                if part[adj[j]] == 0:
+                    to0 += awt[j]
                 else:
-                    to1 += float(g.adjwgt[j])
-            push(u, to0 - to1)
+                    to1 += awt[j]
+            gval = to0 - to1
+            heapq.heappush(heap, (-gval, counter, u))
+            counter += 1
+            gain[u] = gval
 
     grow(seed)
     # Under-filled means some constraint below target.
-    while np.any(acc < want):
+    while any(a < w for a, w in zip(acc, want)):
         v = -1
         while heap:
             negg, _, cand = heapq.heappop(heap)
@@ -111,12 +112,12 @@ def greedy_graph_growing(
         if v < 0:
             # Frontier exhausted (disconnected graph): jump to a random
             # vertex still in part 1.
-            remaining = np.flatnonzero(part == 1)
-            if len(remaining) == 0:
+            remaining = [u for u in range(n) if part[u] == 1]
+            if not remaining:
                 break
-            v = int(remaining[rng.integers(len(remaining))])
+            v = remaining[int(rng.integers(len(remaining)))]
         grow(v)
-    return part
+    return np.array(part, dtype=np.int32)
 
 
 def best_initial_bisection(

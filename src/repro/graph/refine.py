@@ -15,7 +15,9 @@ Implementation note: the per-move admissibility check runs millions of
 times, so the inner loop works on plain Python floats (``ncon ≤`` a
 handful) rather than NumPy arrays — an order-of-magnitude win measured
 by profiling (see the hpc-parallel guide: profile first, then optimize
-the bottleneck).
+the bottleneck).  ``rebalance`` returns before computing any degree on
+an already balanced bisection (the common case); otherwise its weights
+and degrees live in Python lists too.
 """
 
 from __future__ import annotations
@@ -440,76 +442,78 @@ def rebalance(
     several constraints.  Used when FM alone cannot reach feasibility
     (e.g. after projecting a coarse partition onto a finer graph).
     """
-    n = g.num_vertices
-    total = g.total_vwgt()
-    targets = np.array([target_frac, 1.0 - target_frac])
-    pw = np.empty((2, g.ncon), dtype=np.float64)
-    for c in range(g.ncon):
-        pw[:, c] = np.bincount(part, weights=g.vwgt[:, c], minlength=2)
+    ncon = g.ncon
+    total = g.total_vwgt().tolist()
+    targets = (target_frac, 1.0 - target_frac)
+    cols = [
+        np.bincount(part, weights=g.vwgt[:, c], minlength=2) for c in range(ncon)
+    ]
+    pw = np.array(cols, dtype=np.float64).T.tolist()  # pw[part][constraint]
     if max_moves is None:
-        max_moves = n
-
-    ideg, edeg = _degrees(g, part)
-    locked = np.zeros(n, dtype=bool)
-    moves = 0
-
-    def ratio(p: int, c: int) -> float:
-        denom = total[c] * targets[p]
-        if denom <= 0:
-            return _INF if pw[p, c] > 0 else 1.0
-        return pw[p, c] / denom
+        max_moves = g.num_vertices
 
     def worst_pair() -> tuple[float, int, int]:
-        w, wp, wc = 1.0, -1, -1
-        for c in range(g.ncon):
+        best = (1.0, -1, -1)
+        for c in range(ncon):
             if total[c] <= 0:
                 continue
             for p in (0, 1):
-                r = ratio(p, c)
-                if r > w:
-                    w, wp, wc = r, p, c
-        return w, wp, wc
+                d = total[c] * targets[p]
+                r = pw[p][c] / d if d > 0 else (_INF if pw[p][c] > 0 else 1.0)
+                if r > best[0]:
+                    best = (r, p, c)
+        return best
 
+    gains = None
+    # Candidates of each (part, constraint) pair, built on first use:
+    # a vertex only leaves such a set by moving, which locks it.
+    cands: dict[tuple[int, int], np.ndarray] = {}
+    moves = 0
     while moves < max_moves:
         worst, src_p, c = worst_pair()
         if worst <= imbalance_tol or src_p < 0:
             break
+        if gains is None:
+            ideg_a, edeg_a = _degrees(g, part)
+            ideg, edeg = ideg_a.tolist(), edeg_a.tolist()
+            gains = edeg_a - ideg_a  # kept equal to edeg - ideg
+            locked = np.zeros(g.num_vertices, dtype=bool)
         dst_p = 1 - src_p
-        cand = np.flatnonzero(
-            (part == src_p) & ~locked & (g.vwgt[:, c] > 0)
-        )
+        cand = cands.get((src_p, c))
+        if cand is None:
+            cand = np.flatnonzero((part == src_p) & (g.vwgt[:, c] > 0))
+        cand = cands[src_p, c] = cand[~locked[cand]]
         if len(cand) == 0:
             break
-        gains = edeg[cand] - ideg[cand]
+        cg = gains[cand]
         # Among the best-gain candidates, prefer the one whose weight is
         # most concentrated on the violating constraint (so the move
         # does not overfill the destination on other constraints).
-        best_gain = gains.max()
-        top = cand[gains >= best_gain - 1e-12]
-        # float64 arithmetic so narrowed (float32) weights pick the
-        # same candidate as the wide path.
-        vtop = g.vwgt[top].astype(np.float64, copy=False)
-        purity = vtop[:, c] / np.maximum(vtop.sum(axis=1), 1e-300)
-        v = int(top[np.argmax(purity)])
+        top = cand[cg >= cg.max() - 1e-12]
+        v = int(top[0])
+        if len(top) > 1:
+            # float64 arithmetic so narrowed (float32) weights pick the
+            # same candidate as the wide path.
+            vtop = g.vwgt[top].astype(np.float64, copy=False)
+            purity = vtop[:, c] / np.maximum(vtop.sum(axis=1), 1e-300)
+            v = int(top[np.argmax(purity)])
 
         part[v] = dst_p
-        pw[src_p] -= g.vwgt[v]
-        pw[dst_p] += g.vwgt[v]
+        for k, w in enumerate(g.vwgt[v].tolist()):
+            pw[src_p][k] -= w
+            pw[dst_p][k] += w
         locked[v] = True
         moves += 1
-        # Incremental internal/external degree updates around v.
-        for idx in range(g.xadj[v], g.xadj[v + 1]):
-            u = g.adjncy[idx]
-            w = g.adjwgt[idx]
-            if part[u] == dst_p:
-                ideg[u] += w
-                edeg[u] -= w
-            else:
-                ideg[u] -= w
-                edeg[u] += w
-        # v itself: recompute from neighbours.
-        same = part[g.adjncy[g.xadj[v] : g.xadj[v + 1]]] == dst_p
+        # Incremental internal/external degree updates around v; v
+        # itself is recomputed from its neighbours.
+        nbrs = g.adjncy[g.xadj[v] : g.xadj[v + 1]]
         wv = g.adjwgt[g.xadj[v] : g.xadj[v + 1]]
+        same = part[nbrs] == dst_p
+        for u, w, s in zip(nbrs.tolist(), wv.tolist(), same.tolist()):
+            ideg[u] += w if s else -w
+            edeg[u] -= w if s else -w
         ideg[v] = float(wv[same].sum(dtype=np.float64))
         edeg[v] = float(wv[~same].sum(dtype=np.float64))
+        nbrs = nbrs.tolist() + [v]
+        gains[nbrs] = [edeg[u] - ideg[u] for u in nbrs]
     return part

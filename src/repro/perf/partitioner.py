@@ -15,6 +15,11 @@ level indicator constraints), against the seed implementations kept
 verbatim in :mod:`repro.graph.reference`.  The headline figure is the
 combined HEM+FM speedup in MC_TL mode — the configuration the paper's
 partitioner actually runs.
+
+The ``recursive`` row is absolute throughput (vertices/s, with the CPU
+count) of one serial 128-part MC_TL ``partition_graph``, whose many
+small bisections exercise the matching tail, greedy growing and
+rebalance that the ``hem`` row barely reaches.
 """
 
 from __future__ import annotations
@@ -198,6 +203,18 @@ def _bench_kway(
     }
 
 
+def _bench_recursive(g: CSRGraph, nparts: int, repeats: int, seed: int) -> dict:
+    fast_s = best_of(
+        lambda: partition_graph(g, nparts, seed=seed, n_jobs=1), repeats
+    )
+    return {
+        "nparts": nparts,
+        "fast_s": fast_s,
+        "vertices_per_s": g.num_vertices / fast_s,
+        "nproc": os.cpu_count() or 1,
+    }
+
+
 def run_benchmarks(
     *,
     size: str = "full",
@@ -237,6 +254,7 @@ def run_benchmarks(
             "mc_tl": combined(hem_mc, fm_mc),
         },
         "kway": _bench_kway(g_mc, kway_parts, max(1, repeats - 1), seed, n_jobs),
+        "recursive": _bench_recursive(g_mc, 128, max(1, repeats - 1), seed),
     }
 
 
@@ -290,5 +308,10 @@ def format_report(result: dict) -> str:
                 f" ({k['parallel_speedup']:.2f}x);"
                 f" cut {k['serial_cut']:.0f} vs {k['parallel_cut']:.0f}"
                 + forced
+            )
+        if r := case.get("recursive"):
+            lines.append(
+                f"  recursive {r['nparts']}-way MC_TL, serial: "
+                f"{r['vertices_per_s']:,.0f} vertices/s on {r['nproc']} CPU(s)"
             )
     return "\n".join(lines)

@@ -43,6 +43,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -228,6 +229,24 @@ def _spawn_worker(
     )
 
 
+def _wait_for_event(
+    path: Path, event: str, proc: subprocess.Popen, timeout: float = 120.0
+) -> None:
+    """Block until ``path`` logs ``event``, the worker exits or the
+    timeout passes (the caller's return-code checks report failures)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and any(
+            json.loads(line)["event"] == event
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        ):
+            return
+        if proc.poll() is not None:
+            return
+        time.sleep(0.02)
+
+
 def _collect_events(events_dir: Path) -> list[dict]:
     events: list[dict] = []
     for path in sorted(events_dir.glob("*.jsonl")):
@@ -252,9 +271,20 @@ class TestStoreChaos:
             (4, "none", 0.0),
             (5, "none", 0.0),
         ]
-        procs = [
+        # The two crashing workers start one at a time, each after the
+        # previous one has logged its crash: alone on a store with
+        # unpublished digests, each always wins a claim and dies there
+        # (exit 77 / 78), and the other four always find stale claims
+        # and torn-write litter to deal with.
+        procs = []
+        for wid, fault, rate in plan[:2]:
+            procs.append(_spawn_worker(root, events_dir, wid, fault, rate))
+            _wait_for_event(
+                events_dir / f"worker{wid}.jsonl", fault, procs[-1]
+            )
+        procs += [
             _spawn_worker(root, events_dir, wid, fault, rate)
-            for wid, fault, rate in plan
+            for wid, fault, rate in plan[2:]
         ]
         for (wid, fault, _), proc in zip(plan, procs):
             out, err = proc.communicate(timeout=180)
